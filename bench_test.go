@@ -444,6 +444,7 @@ func benchStep(b *testing.B, p protocol.Protocol, miners int) {
 	b.Helper()
 	st := game.MustNew(game.LeaderAndPack(0.2, miners))
 	r := rng.New(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Step(st, r)

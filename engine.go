@@ -52,8 +52,12 @@ func WithWorkers(n int) EngineOption {
 }
 
 // WithTrialWorkers caps each scenario's inner Monte-Carlo trial
-// parallelism (0 = the saturation-aware default: 1 while scenario
-// workers fill the machine, GOMAXPROCS otherwise).
+// parallelism (0 = GOMAXPROCS). Scenario and trial workers share the
+// machine through the Go scheduler, so a slow scenario's trials spread
+// over the cores that faster scenarios free. With WithAdaptiveTrials, 0
+// means 1 while several scenarios run at once: early stopping would
+// otherwise compute batches past the stop point and discard them.
+// Outcomes are identical for every value.
 func WithTrialWorkers(n int) EngineOption {
 	return func(e *Engine) { e.trialWorkers = n }
 }

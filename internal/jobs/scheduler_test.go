@@ -54,9 +54,11 @@ func saturate(t *testing.T, s *Scheduler, tenants []string, priorities map[strin
 		rec := <-grants
 		counts[rec.tenant] += int64(rec.n)
 		granted += int64(rec.n)
-		// Let the just-granted tenant re-enter the pending set before
-		// releasing, so the next pick is a genuinely contested one.
-		for range 4 {
+		// Wait for the just-granted tenant to re-enter the pending set
+		// before releasing, so the next pick is a genuinely contested
+		// one. A fixed number of yields is not enough when other
+		// processes load the machine.
+		for !allPending(s, len(tenants)) {
 			runtime.Gosched()
 		}
 		rec.release()
@@ -64,6 +66,13 @@ func saturate(t *testing.T, s *Scheduler, tenants []string, priorities map[strin
 	cancel()
 	wg.Wait()
 	return counts
+}
+
+// allPending reports whether n gate requests are waiting for a grant.
+func allPending(s *Scheduler, n int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pending) >= n
 }
 
 // TestSchedulerConvergesToWeights is the fair-share property test: under

@@ -48,23 +48,22 @@ func (CPoS) Name() string { return "C-PoS" }
 // use the stake distribution at the start of the epoch, matching the
 // Y_i ~ Bin(P, S_{i-1}/total) model in the paper's proofs.
 func (p CPoS) Step(st *game.State, r *rng.Rand) {
-	m := st.NumMiners()
-	// Snapshot epoch-start stakes: shard lotteries must not see
-	// intra-epoch reward effects.
-	start := make([]float64, m)
-	copy(start, st.Stakes)
-	total := 0.0
-	for _, s := range start {
-		total += s
-	}
+	// Snapshot epoch-start stakes and build their CDF once: shard
+	// lotteries must not see intra-epoch reward effects, so all P draws
+	// share one distribution. The stack arrays cover up to 8 miners;
+	// larger games spill to the heap through append.
+	var startBuf, cumBuf [8]float64
+	start := append(startBuf[:0], st.Stakes...)
+	cum := rng.Cumulative(cumBuf[:0], start)
+	total := cum[len(cum)-1]
 	// Proposer lotteries: one categorical draw per shard.
 	perShard := p.W / float64(p.P)
 	for shard := 0; shard < p.P; shard++ {
-		winner := r.Categorical(start)
+		winner := r.CategoricalCum(cum)
 		st.Credit(winner, perShard, perShard)
 	}
 	// Inflation reward, exactly proportional to epoch-start stake.
-	if p.V > 0 && total > 0 {
+	if p.V > 0 {
 		for i, s := range start {
 			if s > 0 {
 				amt := p.V * s / total

@@ -40,15 +40,17 @@ func (Hybrid) Name() string { return "Hybrid" }
 
 // Step draws the winner over blended power and stakes the reward.
 func (p Hybrid) Step(st *game.State, r *rng.Rand) {
-	m := st.NumMiners()
 	totalStake := st.TotalStake()
-	weights := make([]float64, m)
-	for i := 0; i < m; i++ {
+	// Up to 8 miners fit the stack array; larger games spill to the heap
+	// through append.
+	var buf [8]float64
+	weights := buf[:0]
+	for i := range st.Stakes {
 		w := p.Alpha * st.Initial[i]
 		if totalStake > 0 {
 			w += (1 - p.Alpha) * st.Stakes[i] / totalStake
 		}
-		weights[i] = w
+		weights = append(weights, w)
 	}
 	winner := r.Categorical(weights)
 	st.Credit(winner, p.W, p.W)

@@ -237,15 +237,9 @@ func (r *Rand) Normal() float64 {
 // A linear scan is used: the simulations draw from small weight vectors
 // (2–10 miners), where scanning beats alias-table setup.
 func (r *Rand) Categorical(weights []float64) int {
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: Categorical with negative or NaN weight at index " + itoa(i))
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: Categorical with non-positive total weight")
+	total := weightTotal(weights)
+	if !(total > 0) {
+		badWeights(weights)
 	}
 	u := r.Float64() * total
 	acc := 0.0
@@ -262,6 +256,71 @@ func (r *Rand) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
+}
+
+// Cumulative appends the running sums of weights to dst[:0] and returns
+// the result: cum[i] = weights[0] + … + weights[i], added in index order.
+// It validates weights exactly as Categorical does and panics on the same
+// inputs. Callers that draw many times from one fixed weight vector build
+// its CDF once here and draw with CategoricalCum; passing a stack array
+// as dst keeps small vectors allocation-free.
+func Cumulative(dst, weights []float64) []float64 {
+	if total := weightTotal(weights); !(total > 0) {
+		badWeights(weights)
+	}
+	cum := dst[:0]
+	acc := 0.0
+	for _, w := range weights {
+		acc += w
+		cum = append(cum, acc)
+	}
+	return cum
+}
+
+// weightTotal returns the sum of weights, added in index order, or NaN
+// if a weight is negative or NaN. Categorical and Cumulative accept only
+// a positive result and hand anything else to badWeights. It is small
+// enough to inline, so the check costs the draw no call.
+func weightTotal(weights []float64) float64 {
+	total := 0.0
+	for _, w := range weights {
+		if !(w >= 0) {
+			return math.NaN()
+		}
+		total += w
+	}
+	return total
+}
+
+// badWeights panics for weights whose weightTotal is not positive: at
+// the first negative or NaN weight, else for the total.
+func badWeights(weights []float64) {
+	for i, w := range weights {
+		if !(w >= 0) {
+			panic("rng: Categorical with negative or NaN weight at index " + itoa(i))
+		}
+	}
+	panic("rng: Categorical with non-positive total weight")
+}
+
+// CategoricalCum is Categorical over a CDF built by Cumulative: it
+// consumes the same single Float64 and returns the same index as
+// Categorical(weights) for cum = Cumulative(_, weights), bit for bit.
+func (r *Rand) CategoricalCum(cum []float64) int {
+	u := r.Float64() * cum[len(cum)-1]
+	for i, c := range cum {
+		if u < c {
+			return i
+		}
+	}
+	// Floating-point slack: fall back to the last positive weight, i.e.
+	// the last index whose running sum rose.
+	for i := len(cum) - 1; i > 0; i-- {
+		if cum[i] > cum[i-1] {
+			return i
+		}
+	}
+	return 0
 }
 
 // Perm returns a random permutation of [0, n).

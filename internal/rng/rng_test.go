@@ -315,6 +315,73 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
+func TestCategoricalCumMatchesCategorical(t *testing.T) {
+	ramp := make([]float64, 12)
+	for i := range ramp {
+		ramp[i] = float64(i%4) / 7 // zero weights at 0, 4, 8
+	}
+	for _, weights := range [][]float64{
+		{2},
+		{0.2, 0.8},
+		{0, 1, 0},
+		{0, 0, 3, 0},
+		{1e-300, 1, 0, 1e300},
+		{0.1, 0.2, 0.3, 0.4, 0.5},
+		ramp,
+	} {
+		cum := Cumulative(nil, weights)
+		a, b := New(67), New(67)
+		for i := 0; i < 20000; i++ {
+			if x, y := a.Categorical(weights), b.CategoricalCum(cum); x != y {
+				t.Fatalf("weights %v draw %d: Categorical = %d, CategoricalCum = %d", weights, i, x, y)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("weights %v: streams diverged", weights)
+		}
+	}
+}
+
+func TestCumulativeRunningSums(t *testing.T) {
+	var buf [4]float64
+	// Variables, not constants: constant expressions are folded exactly.
+	x, y, z := 0.1, 0.2, 0.3
+	cum := Cumulative(buf[:0], []float64{x, 0, y, z})
+	want := []float64{x, x, x + y, x + y + z}
+	if len(cum) != len(want) || &cum[0] != &buf[0] {
+		t.Fatalf("Cumulative = %v, want %v written into dst", cum, want)
+	}
+	for i := range want {
+		if math.Float64bits(cum[i]) != math.Float64bits(want[i]) {
+			t.Errorf("cum[%d] = %v, want %v", i, cum[i], want[i])
+		}
+	}
+	// A dst too small for the weights grows like append.
+	if got := Cumulative(buf[:0], []float64{1, 1, 1, 1, 1, 1}); len(got) != 6 || got[5] != 6 {
+		t.Errorf("Cumulative over 6 weights = %v", got)
+	}
+}
+
+func TestCumulativePanicsLikeCategorical(t *testing.T) {
+	catch := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	for name, weights := range map[string][]float64{
+		"negative": {1, -1},
+		"allzero":  {0, 0},
+		"nan":      {math.NaN(), 1},
+		"empty":    {},
+	} {
+		want := catch(func() { New(1).Categorical(weights) })
+		got := catch(func() { Cumulative(nil, weights) })
+		if want == nil || got != want {
+			t.Errorf("%s: Cumulative panicked with %v, Categorical with %v", name, got, want)
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(61)
 	p := r.Perm(50)

@@ -167,11 +167,14 @@ func ProtocolNames() []string {
 	return []string{"pow", "mlpos", "slpos", "fslpos", "cpos", "neo", "algorand", "eos", "hybrid"}
 }
 
+// separatorStripper removes the separators CanonicalProtocol ignores. A
+// Replacer is safe for concurrent use, so one serves every call.
+var separatorStripper = strings.NewReplacer("-", "", "_", "", " ", "")
+
 // CanonicalProtocol lower-cases a protocol name and strips separators, so
 // "ML-PoS", "ml_pos" and "mlpos" all canonicalise to "mlpos".
 func CanonicalProtocol(name string) string {
-	r := strings.NewReplacer("-", "", "_", "", " ", "")
-	return r.Replace(strings.ToLower(name))
+	return separatorStripper.Replace(strings.ToLower(name))
 }
 
 // Normalized returns the canonical form of the spec: defaults applied,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,6 +35,26 @@ func TestNormalizedDefaults(t *testing.T) {
 	if h.Alpha != 0.5 {
 		t.Errorf("hybrid alpha = %v", h.Alpha)
 	}
+}
+
+func TestCanonicalProtocolConcurrent(t *testing.T) {
+	// One package-level Replacer serves every caller at once.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for _, name := range []string{"ML-PoS", "ml_pos", "Ml Pos", "mlpos"} {
+					if got := CanonicalProtocol(name); got != "mlpos" {
+						t.Errorf("CanonicalProtocol(%q) = %q, want mlpos", name, got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestJSONRoundTrip(t *testing.T) {

@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/telemetry"
 )
 
 // adaptiveGrid is a grid whose tiny ε makes nearly every trial unfair,
@@ -46,7 +48,7 @@ func TestAdaptiveEvaluatorName(t *testing.T) {
 
 func TestWithTrialWorkersPreservesAdaptive(t *testing.T) {
 	a := &AdaptiveTrials{MinTrials: 16}
-	got := withTrialWorkers(&MonteCarloEvaluator{Adaptive: a}, 3)
+	got := withTrialWorkers(&MonteCarloEvaluator{Adaptive: a}, 3, true)
 	mc, ok := got.(*MonteCarloEvaluator)
 	if !ok {
 		t.Fatalf("withTrialWorkers returned %T", got)
@@ -57,9 +59,23 @@ func TestWithTrialWorkersPreservesAdaptive(t *testing.T) {
 	if mc.Adaptive != a {
 		t.Error("withTrialWorkers dropped the Adaptive configuration")
 	}
+	// With the sweep's default, an adaptive scenario keeps one trial
+	// worker while other scenarios run beside it, and GOMAXPROCS alone.
+	for _, c := range []struct {
+		parallel bool
+		want     int
+	}{{true, 1}, {false, 0}} {
+		got := withTrialWorkers(&MonteCarloEvaluator{Adaptive: a}, 0, c.parallel).(*MonteCarloEvaluator)
+		if got.TrialWorkers != c.want {
+			t.Errorf("parallel=%v: TrialWorkers = %d, want %d", c.parallel, got.TrialWorkers, c.want)
+		}
+	}
+	if got := withTrialWorkers(&MonteCarloEvaluator{}, 0, true).(*MonteCarloEvaluator); got.TrialWorkers != 0 {
+		t.Errorf("exhaustive evaluator: TrialWorkers = %d, want 0 (GOMAXPROCS)", got.TrialWorkers)
+	}
 	// An explicit TrialWorkers wins over the runner's resolution.
 	pinned := &MonteCarloEvaluator{TrialWorkers: 2, Adaptive: a}
-	if got := withTrialWorkers(pinned, 7); got != Evaluator(pinned) {
+	if got := withTrialWorkers(pinned, 7, true); got != Evaluator(pinned) {
 		t.Error("explicit TrialWorkers must pass through untouched")
 	}
 }
@@ -101,6 +117,42 @@ func TestAdaptiveSweepReportsTrialCounts(t *testing.T) {
 		if base.Stats.TrialsRun != rep.Stats.TrialsRun {
 			t.Errorf("stats trials differ across worker counts: %d vs %d", base.Stats.TrialsRun, rep.Stats.TrialsRun)
 		}
+	}
+}
+
+// TestAdaptiveParallelSweepComputesOnlyKeptBlocks pins the trial-worker
+// default for early-stopping sweeps: while several scenarios run at
+// once, each adaptive scenario runs its batches one at a time, so no
+// batch past the stop point is computed and then thrown away.
+func TestAdaptiveParallelSweepComputesOnlyKeptBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// Long trials, so that a batch outlasts the start of the other
+	// trial workers and any batch handed out ahead of the stop shows.
+	specs, err := scenario.Grid{
+		Base:      scenario.Spec{Blocks: 3000, Trials: 400, Seed: 5, Eps: 0.001},
+		Protocols: []string{"pow", "mlpos"},
+		Stake:     []float64{0.2, 0.3},
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &MonteCarloEvaluator{Adaptive: &AdaptiveTrials{MinTrials: 8, Batch: 8}}
+	blocks := telemetry.Default().Counter("fairness_montecarlo_blocks_total")
+	before := blocks.Value()
+	rep, err := RunContext(context.Background(), specs, Options{Evaluator: ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	computed := blocks.Value() - before
+	var kept int64
+	for i, o := range rep.Outcomes {
+		if !o.EarlyStopped {
+			t.Fatalf("outcome %d ran its whole budget; the grid must stop early", i)
+		}
+		kept += o.TrialsRun * int64(specs[i].Blocks)
+	}
+	if computed != kept {
+		t.Errorf("adaptive sweep computed %d blocks but kept %d", computed, kept)
 	}
 }
 

@@ -33,7 +33,8 @@ type ArenaEvaluator struct {
 	// value selects each protocol's default menu.
 	Config arena.Config
 	// TrialWorkers caps per-payoff trial parallelism (0 lets the runner
-	// pick its saturation-aware default). Results are worker-independent.
+	// apply Options.TrialWorkers, GOMAXPROCS by default). Results are
+	// worker-independent.
 	TrialWorkers int
 }
 

@@ -126,9 +126,9 @@ func (a AdaptiveTrials) normalized() AdaptiveTrials {
 // and identical to the pre-Evaluator sweep engine, bit for bit.
 type MonteCarloEvaluator struct {
 	// TrialWorkers caps each scenario's inner trial parallelism; 0 lets
-	// the sweep runner pick its saturation-aware default (1 while
-	// scenario-level workers already fill the machine, GOMAXPROCS when
-	// scenarios run one at a time).
+	// the sweep runner apply Options.TrialWorkers (GOMAXPROCS by
+	// default; 1 for an adaptive evaluator while several scenarios run
+	// at once). Outcomes are identical for every value.
 	TrialWorkers int
 	// Adaptive, when non-nil, turns each scenario's Trials into a budget
 	// with early stopping (see AdaptiveTrials). Honest scenarios stop as
@@ -344,16 +344,27 @@ func (e *MonteCarloEvaluator) evaluateRace(ctx context.Context, n scenario.Spec,
 }
 
 // withTrialWorkers returns the evaluator the runner should use given the
-// resolved per-scenario trial parallelism: custom evaluators pass
-// through untouched; a Monte-Carlo evaluator with no explicit
-// TrialWorkers adopts the resolved value (all other knobs preserved).
-func withTrialWorkers(ev Evaluator, trialWorkers int) Evaluator {
+// sweep's per-scenario trial parallelism (Options.TrialWorkers; 0 keeps
+// the GOMAXPROCS default) and whether several scenarios run at once:
+// custom evaluators pass through untouched; a Monte-Carlo or arena
+// evaluator with no explicit TrialWorkers adopts the sweep's value (all
+// other knobs preserved).
+//
+// The one exception is an adaptive Monte-Carlo evaluator inside a
+// parallel sweep. Its trial workers each take a batch at once and the
+// batches past the stop point are thrown away; while other scenarios
+// already hold the cores, that speculation is pure waste, so it gets one
+// trial worker by default.
+func withTrialWorkers(ev Evaluator, trialWorkers int, parallelScenarios bool) Evaluator {
 	if ev == nil {
 		return &MonteCarloEvaluator{TrialWorkers: trialWorkers}
 	}
 	if mc, ok := ev.(*MonteCarloEvaluator); ok && mc.TrialWorkers == 0 {
 		clone := *mc
 		clone.TrialWorkers = trialWorkers
+		if trialWorkers == 0 && mc.Adaptive != nil && parallelScenarios {
+			clone.TrialWorkers = 1
+		}
 		return &clone
 	}
 	if ae, ok := ev.(*ArenaEvaluator); ok && ae.TrialWorkers == 0 {

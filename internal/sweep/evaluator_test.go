@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -13,25 +14,44 @@ import (
 )
 
 func TestRunDeterministicAcrossAllWorkerCounts(t *testing.T) {
-	// The satellite contract: Workers ∈ {1, 4, GOMAXPROCS} produce the
-	// same report, outcome for outcome.
-	specs := quickGrid(t)
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	var base *Report
-	for _, workers := range counts {
-		rep, err := RunContext(context.Background(), specs, Options{Workers: workers})
+	// The satellite contract: every scenario- and trial-level worker
+	// count produces the same report, outcome for outcome and bit for
+	// bit. The grid adds one Fig. 3/5 cell (pow, mlpos, slpos, cpos at
+	// one a, w) so the C-PoS kernel runs under both trial schedules.
+	cell, err := scenario.Grid{
+		Base:      scenario.Spec{Blocks: 300, Trials: 40, Seed: 9, Stake: 0.2, W: 0.01},
+		Protocols: []string{"pow", "mlpos", "slpos", "cpos"},
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(quickGrid(t), cell...)
+	rows := []struct {
+		name string
+		opts Options
+	}{
+		{"workers=1", Options{Workers: 1}},
+		{"workers=4", Options{Workers: 4}},
+		{"workers=GOMAXPROCS", Options{Workers: runtime.GOMAXPROCS(0)}},
+		{"default", Options{}},
+		{"trialworkers=1", Options{TrialWorkers: 1}},
+	}
+	var base []Outcome
+	for _, row := range rows {
+		rep, err := RunContext(context.Background(), specs, row.opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		for i := range rep.Outcomes {
+			rep.Outcomes[i].ElapsedMS = 0 // wall time, not part of the result
 		}
 		if base == nil {
-			base = rep
+			base = rep.Outcomes
 			continue
 		}
-		for i := range base.Outcomes {
-			a, b := base.Outcomes[i], rep.Outcomes[i]
-			if a.Hash != b.Hash || a.Verdict != b.Verdict || a.Equitability != b.Equitability ||
-				a.ConvergenceBlock != b.ConvergenceBlock || a.Backend != b.Backend {
-				t.Errorf("workers=%d outcome %d differs:\n%+v\n%+v", workers, i, a, b)
+		for i := range base {
+			if a, b := base[i], rep.Outcomes[i]; !reflect.DeepEqual(a, b) {
+				t.Errorf("%s outcome %d differs from %s:\n%+v\n%+v", row.name, i, rows[0].name, a, b)
 			}
 		}
 	}

@@ -53,9 +53,14 @@ type CacheStore interface {
 type Options struct {
 	// Workers caps scenario-level parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// TrialWorkers caps each scenario's inner Monte-Carlo parallelism.
-	// 0 picks a sensible default: 1 while scenarios already saturate the
-	// machine, GOMAXPROCS when scenarios run one at a time.
+	// TrialWorkers caps each scenario's inner Monte-Carlo parallelism;
+	// 0 means GOMAXPROCS. Every scenario may then use every core, so when
+	// cheap scenarios finish early the Go scheduler runs a straggler's
+	// trial batches on the freed cores. An adaptive Monte-Carlo
+	// evaluator is the exception: while several scenarios run at once it
+	// gets 1, because its extra trial workers would compute batches past
+	// the stop point only to discard them. Outcomes do not depend on it:
+	// trial i always draws from rng.Stream(seed, i).
 	TrialWorkers int
 	// Cache, when non-nil, is consulted before computing a scenario and
 	// filled afterwards. Sharing one CacheStore across sweeps (or, for a
@@ -206,19 +211,11 @@ func RunContext(ctx context.Context, specs []scenario.Spec, opts Options) (*Repo
 	if workers > len(uniq) {
 		workers = len(uniq)
 	}
-	trialWorkers := opts.TrialWorkers
-	if trialWorkers <= 0 {
-		if workers > 1 {
-			trialWorkers = 1
-		} else {
-			trialWorkers = runtime.GOMAXPROCS(0)
-		}
-	}
 
 	rep := &Report{Outcomes: make([]Outcome, len(specs))}
 	rep.Stats.Scenarios = len(specs)
 
-	ev := withTrialWorkers(opts.Evaluator, trialWorkers)
+	ev := withTrialWorkers(opts.Evaluator, opts.TrialWorkers, workers > 1)
 
 	backend := ev.Name()
 	var (
